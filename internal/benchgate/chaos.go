@@ -82,11 +82,11 @@ func measureChaosEngine(kills ...transport.Kill) (tcp.Checkpoint, tcp.RecoverySt
 	defer tr.Close()
 	e := cc.NewEngine(netN)
 	e.SetTransport(tr)
-	step, sum := netStep()
+	step, tx := netStep()
 	if _, err := e.Run(step, netRounds+8); err != nil {
 		return tcp.Checkpoint{}, tcp.RecoveryStats{}, 0, err
 	}
-	return tr.Checkpoint(), tr.Recovery(), *sum, nil
+	return tr.Checkpoint(), tr.Recovery(), tx.sum(), nil
 }
 
 // MeasureChaosWorkloads re-measures BENCH_chaos.json: the engine workload

@@ -30,14 +30,26 @@ const (
 	netProcs  = 4
 )
 
-// netStep returns the deterministic workload step plus a pointer to the
-// run's transcript checksum (order-sensitive over every received message).
-func netStep() (cc.Step, *uint64) {
-	sum := new(uint64)
+// netWord is one received payload word, tagged with its round and sender.
+type netWord struct {
+	round, from int
+	v           int64
+}
+
+// netTranscript holds, per node, every word the node received in arrival
+// order. Each node's step appends only to its own slice, so the engine may
+// run node steps concurrently; sum folds the words in (round, node) order
+// after Run returns.
+type netTranscript [][]netWord
+
+// netStep returns the deterministic workload step plus the transcript it
+// records into.
+func netStep() (cc.Step, netTranscript) {
+	tx := make(netTranscript, netN)
 	step := func(node, round int, inbox []cc.Message, send func(int, ...int64)) bool {
 		for _, m := range inbox {
 			for _, v := range m.Data {
-				*sum = *sum*0x100000001b3 ^ uint64(v) ^ uint64(m.From)<<32
+				tx[node] = append(tx[node], netWord{round: round, from: m.From, v: v})
 			}
 		}
 		if round >= netRounds {
@@ -48,7 +60,27 @@ func netStep() (cc.Step, *uint64) {
 		}
 		return false
 	}
-	return step, sum
+	return step, tx
+}
+
+// sum is the order-sensitive transcript checksum, folded round by round and
+// within a round node by node — the order a one-worker engine steps the
+// nodes in — so it does not depend on how the engine schedules them.
+func (tx netTranscript) sum() uint64 {
+	var sum uint64
+	next := make([]int, len(tx))
+	for round, left := 0, true; left; round++ {
+		left = false
+		for node, words := range tx {
+			i := next[node]
+			for ; i < len(words) && words[i].round == round; i++ {
+				sum = sum*0x100000001b3 ^ uint64(words[i].v) ^ uint64(words[i].from)<<32
+			}
+			next[node] = i
+			left = left || i < len(words)
+		}
+	}
+	return sum
 }
 
 // measureNet runs the workload through one transport (nil = in-process
@@ -58,7 +90,7 @@ func measureNet(tr cc.Transport) (float64, uint64, error) {
 	if tr != nil {
 		e.SetTransport(tr)
 	}
-	step, sum := netStep()
+	step, tx := netStep()
 	start := time.Now()
 	rounds, err := e.Run(step, netRounds+8)
 	if err != nil {
@@ -67,7 +99,7 @@ func measureNet(tr cc.Transport) (float64, uint64, error) {
 	if rounds <= 0 {
 		return 0, 0, fmt.Errorf("benchgate: net workload ran %d rounds", rounds)
 	}
-	return float64(time.Since(start).Nanoseconds()) / float64(rounds), *sum, nil
+	return float64(time.Since(start).Nanoseconds()) / float64(rounds), tx.sum(), nil
 }
 
 // MeasureNetWorkload re-measures BENCH_net.json in-process: the same engine

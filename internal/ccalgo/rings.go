@@ -13,6 +13,7 @@ import (
 
 	"lapcc/internal/cc"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // Rings is a collection of disjoint directed rings whose slots are hosted on
@@ -26,15 +27,13 @@ type Rings struct {
 	Succ    []int
 	Pred    []int
 	Alive   []bool
-	// Faults, if non-nil, routes every neighbor exchange through the
-	// reliable retransmission layer under the given fault plan. Delivered
-	// values — and therefore colors and matchings — are bit-identical to a
-	// fault-free run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every exchange through the
-	// given delivery backend (see cc.Transport); nil keeps the in-process
-	// path. Results are bit-identical either way.
-	Transport cc.Transport
+	// Env is the run environment. Faults routes every neighbor exchange
+	// through the reliable retransmission layer and Transport carries it;
+	// delivered values — and therefore colors and matchings — are
+	// bit-identical either way. The other knobs are ignored: the rounds
+	// reach the caller's ledger, which the caller's tracer and registry
+	// mirror, and the caller checks its budget between ring passes.
+	runenv.Env
 }
 
 // ErrInconsistentRings reports a rings structure whose Succ/Pred pointers do
@@ -90,13 +89,7 @@ func (r *Rings) exchange(slots []int, vals []int64, target func(int) int, led *r
 			Data: []int64{int64(t), vals[s]},
 		})
 	}
-	var delivered [][]cc.Packet
-	var err error
-	if r.Faults != nil {
-		delivered, _, err = cc.ReliableRouteBatchedVia(r.Transport, r.CliqueN, pkts, led, tag, r.Faults)
-	} else {
-		delivered, _, err = cc.RouteBatchedVia(r.Transport, r.CliqueN, pkts, led, tag)
-	}
+	delivered, err := r.Env.RouteBatched(r.CliqueN, pkts, led, tag)
 	if err != nil {
 		return nil, fmt.Errorf("ccalgo: %s exchange: %w", tag, err)
 	}

@@ -22,7 +22,6 @@
 package core
 
 import (
-	"lapcc/internal/cc"
 	"lapcc/internal/euler"
 	"lapcc/internal/flowround"
 	"lapcc/internal/graph"
@@ -30,47 +29,16 @@ import (
 	"lapcc/internal/linalg"
 	"lapcc/internal/maxflow"
 	"lapcc/internal/mcmf"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/sparsify"
-	"lapcc/internal/trace"
 )
 
 // RunOptions carries the cross-cutting robustness and observability knobs of
-// the facade. The zero value is a plain run: no tracing, no faults, no
+// the facade: the run environment every solver stage shares (see
+// internal/runenv). The zero value is a plain run: no tracing, no faults, no
 // budget.
-type RunOptions struct {
-	// Trace, if non-nil, receives hierarchical span and cost events.
-	Trace *trace.Tracer
-	// Faults, if non-nil, subjects every network primitive of the run to
-	// the given deterministic fault plan, with delivery restored by the
-	// reliable retransmission layer (see internal/cc). Answers are
-	// bit-identical to a fault-free run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every network primitive of
-	// the run through the given delivery backend — the in-process wire
-	// codec (transport.Mem) or the multi-process TCP clique (transport/tcp)
-	// — instead of the default in-process delivery. Answers, charged
-	// ledgers, and fault statistics are bit-identical across backends; the
-	// caller owns the transport's lifecycle (Close).
-	Transport cc.Transport
-	// Budget, if non-nil, bounds the run's rounds and/or wall clock.
-	// Exhaustion aborts at the next phase boundary with an error unwrapping
-	// to rounds.ErrBudgetExceeded that carries the partial round stats.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live counters and histograms from every
-	// stage of the run, plus a mirror of the ledger's cost stream — the
-	// registry the debug HTTP endpoint exposes (see internal/metrics). A
-	// nil registry records nothing and costs nothing.
-	Metrics *metrics.Registry
-	// Workers sets the worker count of the numerical core for the run —
-	// Laplacian matvecs, CG/Chebyshev vector kernels, per-part sparsifier
-	// builds (0 = GOMAXPROCS, 1 = sequential, restoring the exact
-	// single-threaded code path). Parallelism is internal computation and
-	// free in the congested-clique model; answers and round accounting are
-	// bit-identical at any worker count.
-	Workers int
-}
+type RunOptions = runenv.Env
 
 // RoundReport summarizes where an algorithm's congested-clique rounds went.
 type RoundReport struct {
@@ -110,8 +78,7 @@ type LaplacianResult struct {
 func SolveLaplacianWith(g *graph.Graph, b linalg.Vec, eps float64, ro RunOptions) (*LaplacianResult, error) {
 	led := rounds.New()
 	s, err := lapsolver.NewSolver(g, lapsolver.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers,
+		Env: ro, Ledger: led,
 	})
 	if err != nil {
 		return nil, err
@@ -162,11 +129,9 @@ type LaplacianSession struct {
 // given session options. g must be connected with positive edge weights; the
 // session takes a private copy.
 func NewLaplacianSession(g *graph.Graph, so SessionOptions) (*LaplacianSession, error) {
-	ro := so.Run
 	led := rounds.New()
 	s, err := lapsolver.NewSolver(g, lapsolver.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers, WarmStart: so.Warm,
+		Env: so.Run, Ledger: led, WarmStart: so.Warm,
 		Chain: sparsify.ChainOptions{ExactOnly: so.ExactReuse},
 	})
 	if err != nil {
@@ -237,8 +202,7 @@ type SparsifyResult struct {
 func SparsifyWith(g *graph.Graph, ro RunOptions) (*SparsifyResult, error) {
 	led := rounds.New()
 	res, err := sparsify.Sparsify(g, sparsify.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers,
+		Env: ro, Ledger: led,
 	})
 	if err != nil {
 		return nil, err
@@ -268,7 +232,7 @@ type EulerianResult struct {
 func EulerianOrientWith(g *graph.Graph, ro RunOptions) (*EulerianResult, error) {
 	led := rounds.New()
 	orient, st, err := euler.Orient(g, nil, euler.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
+		Env: ro, Ledger: led,
 	})
 	if err != nil {
 		return nil, err
@@ -307,7 +271,7 @@ type RoundFlowResult struct {
 func RoundFlowWith(req RoundFlowRequest, ro RunOptions) (*RoundFlowResult, error) {
 	led := rounds.New()
 	out, err := flowround.RoundWith(req.Graph, req.Flow, req.Source, req.Sink, req.Delta, req.UseCosts, flowround.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
+		Env: ro, Ledger: led,
 	})
 	if err != nil {
 		return nil, err
@@ -332,9 +296,7 @@ type MaxFlowResult struct {
 func MaxFlowWith(dg *graph.DiGraph, s, t int, ro RunOptions) (*MaxFlowResult, error) {
 	led := rounds.New()
 	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{
-		Ledger: led, FastSolve: true,
-		Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers,
+		Env: ro, Ledger: led, FastSolve: true,
 	})
 	if err != nil {
 		return nil, err
@@ -366,8 +328,7 @@ type MinCostFlowResult struct {
 func MinCostFlowWith(dg *graph.DiGraph, sigma []int64, ro RunOptions) (*MinCostFlowResult, error) {
 	led := rounds.New()
 	res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers,
+		Env: ro, Ledger: led,
 	})
 	if err != nil {
 		return nil, err

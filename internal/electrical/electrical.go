@@ -14,7 +14,7 @@ import (
 	"lapcc/internal/lapsolver"
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // Network is a resistive network: an undirected graph whose edge weights
@@ -32,28 +32,20 @@ var ErrSamePole = errors.New("electrical: poles must differ")
 
 // Options configures NewNetwork.
 type Options struct {
-	// Solver configures the underlying Laplacian solver.
+	// Solver tunes the underlying Laplacian solver's policy; its Env and
+	// Ledger are ignored in favor of the network's.
 	Solver lapsolver.Options
-	// Ledger, if non-nil, receives round costs (also wired into the
-	// solver when its own ledger is unset).
+	// Env is the run environment of the network's session and solver.
+	runenv.Env
+	// Ledger, if non-nil, receives round costs.
 	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
 }
 
 // NewNetwork prepares a network for repeated electrical queries; the
 // sparsifier is built once and amortized across solves and, via Reweight,
 // across conductance changes on the fixed topology.
 func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
-	if opts.Ledger != nil && opts.Solver.Ledger == nil {
-		opts.Solver.Ledger = opts.Ledger
-	}
-	if opts.Trace != nil && opts.Solver.Trace == nil {
-		opts.Solver.Trace = opts.Trace
-	}
-	sess, err := NewSession(g.Clone(), SessionOptions{Full: true, Solver: opts.Solver})
+	sess, err := NewSession(g.Clone(), SessionOptions{Full: true, Solver: opts.Solver, Env: opts.Env, Ledger: opts.Ledger})
 	if err != nil {
 		return nil, fmt.Errorf("electrical: %w", err)
 	}

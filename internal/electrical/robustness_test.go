@@ -8,6 +8,7 @@ import (
 
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // TestSessionBudgetExhaustion: an exhausted wall budget must abort
@@ -16,7 +17,7 @@ func TestSessionBudgetExhaustion(t *testing.T) {
 	g := sessionTestGraph(t, 16, 31)
 	budget := rounds.NewBudget(0, time.Nanosecond).Bind(nil)
 	time.Sleep(time.Millisecond)
-	s, err := NewSession(g, SessionOptions{Budget: budget})
+	s, err := NewSession(g, SessionOptions{Env: runenv.Env{Budget: budget}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"lapcc/internal/linalg"
 	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/trace"
 )
 
@@ -66,38 +67,32 @@ type SessionOptions struct {
 	// the zero-round internal CG path for callers that charge the
 	// Theorem 1.1 formula themselves.
 	Full bool
-	// Solver configures the Full-mode solver (ledger, trace, sparsifier
-	// chain policy). Ignored on the internal path.
+	// Solver tunes the Full-mode solver's policy (sparsifier chain,
+	// escalation). Its Env and Ledger are ignored: the solver runs under
+	// the session's. Ignored on the internal path.
 	Solver lapsolver.Options
 	// WarmStart seeds each solve slot with its previous potentials, scaled
 	// by the projection of the new right-hand side onto the old one.
 	// Convergence is still judged by the usual residual criteria, so warm
 	// starting changes wall clock only.
 	WarmStart bool
-	// Trace, if non-nil, receives spans for guarded-recovery events (and is
-	// propagated to the Full-mode solver when its own Trace is unset).
-	Trace *trace.Tracer
-	// Budget, if non-nil, is checked at every Potentials call and
-	// propagated to the Full-mode solver. Exhaustion aborts with an error
-	// unwrapping to rounds.ErrBudgetExceeded.
-	Budget *rounds.Budget
 	// NoFallback disables the internal path's exact dense fallback when CG
 	// stagnates or fails to converge even after the cold retry, restoring
 	// the historical fail-with-error behavior (and propagates to the
 	// Full-mode solver as NoEscalation).
 	NoFallback bool
-	// Metrics, if non-nil, receives live session counters (solves,
-	// reweights, dense fallbacks) and is propagated to the Full-mode
-	// solver when its own Metrics is unset. A nil registry records nothing
-	// and costs nothing.
-	Metrics *metrics.Registry
-	// Workers sets the worker count for the session's numerical kernels
-	// (Laplacian matvecs, CG vector ops) and for the concurrent per-slot
-	// solves of PotentialsBatch (0 = GOMAXPROCS, 1 = sequential — today's
-	// exact code path). Results are bit-identical at any worker count; the
-	// knob is propagated to the Full-mode solver when its own Workers is
-	// unset.
-	Workers int
+	// Env is the run environment, handed whole to the Full-mode solver.
+	// Budget is checked at every Potentials call; Trace receives
+	// guarded-recovery spans; Metrics receives solves, reweights and dense
+	// fallbacks; Workers parallelizes the Laplacian matvecs, CG vector ops
+	// and the concurrent per-slot solves of PotentialsBatch, bit-identically
+	// at any count. The internal path executes no network primitive, so it
+	// ignores Faults and Transport.
+	runenv.Env
+	// Ledger, if non-nil, receives the Full-mode solver's round costs. The
+	// internal path records nothing: its caller charges the Theorem 1.1
+	// formula per solve.
+	Ledger *rounds.Ledger
 }
 
 // SessionStats counts session activity.
@@ -126,28 +121,17 @@ func NewSession(g *graph.Graph, opts SessionOptions) (*Session, error) {
 	s.refreshPrecond()
 	s.pool = linalg.SharedPool(opts.Workers)
 	s.lap.SetPool(s.pool)
-	s.opts.Budget.BindIfUnbound(opts.Solver.Ledger)
+	s.opts.Budget.BindIfUnbound(opts.Ledger)
 	if reg := opts.Metrics; reg != nil {
-		reg.MirrorLedger(opts.Solver.Ledger)
+		reg.MirrorLedger(opts.Ledger)
 		s.mSolves = reg.Counter("lapcc_electrical_solves_total", "Electrical session Potentials calls.")
 		s.mReweights = reg.Counter("lapcc_electrical_reweights_total", "Electrical session Reweight calls.")
 		s.mDenseFallbacks = reg.Counter("lapcc_electrical_dense_fallbacks_total", "Potentials calls rescued by the exact dense fallback.")
 	}
 	if opts.Full {
-		if opts.Trace != nil && s.opts.Solver.Trace == nil {
-			s.opts.Solver.Trace = opts.Trace
-		}
-		if opts.Budget != nil && s.opts.Solver.Budget == nil {
-			s.opts.Solver.Budget = opts.Budget
-		}
-		if opts.Metrics != nil && s.opts.Solver.Metrics == nil {
-			s.opts.Solver.Metrics = opts.Metrics
-		}
+		s.opts.Solver.Env, s.opts.Solver.Ledger = opts.Env, opts.Ledger
 		if opts.NoFallback {
 			s.opts.Solver.NoEscalation = true
-		}
-		if s.opts.Solver.Workers == 0 {
-			s.opts.Solver.Workers = opts.Workers
 		}
 		solver, err := lapsolver.NewSolver(g, s.opts.Solver)
 		if err != nil {

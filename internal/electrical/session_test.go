@@ -7,6 +7,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
+	"lapcc/internal/runenv"
 )
 
 func sessionTestGraph(t *testing.T, n int, seed int64) *graph.Graph {
@@ -235,7 +236,7 @@ func TestPotentialsBatchMatchesSequential(t *testing.T) {
 			want = append(want, xs)
 		}
 
-		sess, err := NewSession(g.Clone(), SessionOptions{WarmStart: true, Workers: workers})
+		sess, err := NewSession(g.Clone(), SessionOptions{Env: runenv.Env{Workers: workers}, WarmStart: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +287,7 @@ func TestPotentialsBatchValidation(t *testing.T) {
 func TestPotentialsBatchFullMode(t *testing.T) {
 	g := sessionTestGraph(t, 32, 23)
 	mk := func() *Session {
-		sess, err := NewSession(g.Clone(), SessionOptions{Full: true, Workers: 4})
+		sess, err := NewSession(g.Clone(), SessionOptions{Env: runenv.Env{Workers: 4}, Full: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,9 +46,8 @@ import (
 	"lapcc/internal/cc"
 	"lapcc/internal/ccalgo"
 	"lapcc/internal/graph"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // ErrNotEulerian reports a vertex of odd degree.
@@ -82,30 +81,16 @@ type Options struct {
 	Mode Mode
 	// Seed drives the Randomized mode's marking.
 	Seed int64
-	// Ledger, if non-nil, records the round costs of the run.
-	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Faults, if non-nil, routes every network primitive of the run —
+	// Env is the run environment. Faults routes every network primitive —
 	// probes, replies, expansion, mirror exchange, and the Cole-Vishkin
 	// exchanges inside the ring matching — through the reliable
-	// retransmission layer under the given fault plan. The orientation is
-	// bit-identical to a fault-free run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every routing step of the
-	// run through the given delivery backend (see cc.Transport); nil keeps
-	// the in-process path. The orientation is bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, is checked at every contraction iteration;
-	// exhaustion aborts with an error unwrapping to
-	// rounds.ErrBudgetExceeded.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live counters (orientations,
-	// contraction iterations, dead probes) and a mirror of the ledger's
-	// cost stream. A nil registry records nothing and costs nothing.
-	Metrics *metrics.Registry
+	// retransmission layer, and Transport carries them; the orientation is
+	// bit-identical either way. Budget is checked at every contraction
+	// iteration; Metrics receives orientations, contraction iterations and
+	// dead probes. Workers is ignored: there is no numerical core.
+	runenv.Env
+	// Ledger, if non-nil, records the round costs of the run.
+	Ledger *rounds.Ledger
 }
 
 // Stats reports the execution of one orientation.
@@ -224,23 +209,10 @@ type stateSet struct {
 	mode       Mode
 	rng        *rand.Rand
 	deadProbes int
-	faults     *cc.FaultPlan
-	transport  cc.Transport
+	env        runenv.Env
 
 	// expansion[k] holds the contraction records of iteration k.
 	expansion [][]contractionRecord
-}
-
-// route delivers one batched routing step, through the reliable
-// retransmission layer when a fault plan is installed and over the
-// configured delivery backend when one is.
-func (s *stateSet) route(n int, pkts []cc.Packet, led *rounds.Ledger, tag string) ([][]cc.Packet, error) {
-	if s.faults != nil {
-		out, _, err := cc.ReliableRouteBatchedVia(s.transport, n, pkts, led, tag, s.faults)
-		return out, err
-	}
-	out, _, err := cc.RouteBatchedVia(s.transport, n, pkts, led, tag)
-	return out, err
 }
 
 // contractionRecord remembers one contracted run: informer stayed alive and
@@ -258,19 +230,18 @@ type chainEntry struct {
 func newStateSet(g *graph.Graph, dirCost []int64, opts Options) *stateSet {
 	m := g.M()
 	s := &stateSet{
-		mode:      opts.Mode,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
-		faults:    opts.Faults,
-		transport: opts.Transport,
-		g:         g,
-		owner:     make([]int, 2*m),
-		succ:      make([]int, 2*m),
-		pred:      make([]int, 2*m),
-		alive:     make([]bool, 2*m),
-		cost:      make([]int64, 2*m),
-		leaderID:  make([]int64, 2*m),
-		want:      make([]bool, 2*m),
-		known:     make([]bool, 2*m),
+		mode:     opts.Mode,
+		rng:      rand.New(rand.NewSource(opts.Seed)),
+		env:      opts.Env,
+		g:        g,
+		owner:    make([]int, 2*m),
+		succ:     make([]int, 2*m),
+		pred:     make([]int, 2*m),
+		alive:    make([]bool, 2*m),
+		cost:     make([]int64, 2*m),
+		leaderID: make([]int64, 2*m),
+		want:     make([]bool, 2*m),
+		known:    make([]bool, 2*m),
 	}
 	// Pair incident edges at every vertex by adjacency position: this is the
 	// internal, zero-round step 1 of Theorem 1.4.
@@ -343,7 +314,7 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 			}
 		}
 	default:
-		rings := &ccalgo.Rings{CliqueN: n, Owner: s.owner, Succ: s.succ, Pred: s.pred, Alive: s.alive, Faults: s.faults, Transport: s.transport}
+		rings := &ccalgo.Rings{CliqueN: n, Owner: s.owner, Succ: s.succ, Pred: s.pred, Alive: s.alive, Env: s.env}
 		matchSucc, err := rings.MaximalMatching(led)
 		if err != nil {
 			return fmt.Errorf("euler: iteration %d: %w", level, err)
@@ -411,7 +382,7 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 			}
 			pkts = append(pkts, cc.Packet{Src: s.owner[p.at], Dst: s.owner[next], Data: data})
 		}
-		delivered, err := s.route(n, pkts, led, "euler-probe")
+		delivered, err := s.env.RouteBatched(n, pkts, led, "euler-probe")
 		if err != nil {
 			return fmt.Errorf("euler: probe relay: %w", err)
 		}
@@ -456,7 +427,7 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 		}
 		replyPkts = append(replyPkts, cc.Packet{Src: s.owner[a.target], Dst: s.owner[a.origin], Data: data})
 	}
-	if _, err := s.route(n, replyPkts, led, "euler-reply"); err != nil {
+	if _, err := s.env.RouteBatched(n, replyPkts, led, "euler-reply"); err != nil {
 		return fmt.Errorf("euler: probe reply: %w", err)
 	}
 
@@ -510,7 +481,7 @@ func (s *stateSet) expand(n int, led *rounds.Ledger) error {
 				})
 			}
 		}
-		delivered, err := s.route(n, pkts, led, "euler-expand")
+		delivered, err := s.env.RouteBatched(n, pkts, led, "euler-expand")
 		if err != nil {
 			return fmt.Errorf("euler: expansion level %d: %w", level, err)
 		}
@@ -547,7 +518,7 @@ func (s *stateSet) resolveOrientations(n int, led *rounds.Ledger) ([]bool, error
 			Data: []int64{int64(mirror), s.leaderID[st], w},
 		})
 	}
-	if _, err := s.route(n, pkts, led, "euler-mirror"); err != nil {
+	if _, err := s.env.RouteBatched(n, pkts, led, "euler-mirror"); err != nil {
 		return nil, fmt.Errorf("euler: mirror exchange: %w", err)
 	}
 	// Both endpoints now hold both tuples; the driver computes the shared

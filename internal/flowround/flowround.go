@@ -14,44 +14,27 @@ import (
 	"fmt"
 	"math"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/euler"
 	"lapcc/internal/graph"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // Options configures RoundWith.
 type Options struct {
-	// Ledger, if non-nil, records the round costs of the run.
-	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
 	// EulerMode, if non-zero, selects the orientation marking strategy of
 	// each scaling level (defaults to euler.Deterministic).
 	EulerMode euler.Mode
 	// EulerSeed drives euler.Randomized markings.
 	EulerSeed int64
-	// Faults, if non-nil, injects the given fault plan into every network
-	// primitive of each level's Eulerian orientation; results are
-	// bit-identical to a fault-free run at a larger round cost.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every routing step of each
-	// level's Eulerian orientation through the given delivery backend (see
-	// cc.Transport); nil keeps the in-process path. The rounded flow is
-	// bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, is checked at every scaling level; exhaustion
-	// aborts with an error unwrapping to rounds.ErrBudgetExceeded.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live counters (rounding calls, scaling
-	// levels) and a mirror of the ledger's cost stream, and is propagated
-	// to each level's Eulerian orientation. A nil registry records nothing
-	// and costs nothing.
-	Metrics *metrics.Registry
+	// Env is the run environment, handed whole to each level's Eulerian
+	// orientation (Faults and Transport act there; the rounded flow is
+	// bit-identical either way). Budget is checked at every scaling level;
+	// Metrics receives rounding calls and scaling levels. Workers is
+	// ignored: there is no numerical core.
+	runenv.Env
+	// Ledger, if non-nil, records the round costs of the run.
+	Ledger *rounds.Ledger
 }
 
 // forcedCost is the sentinel cost forcing the virtual (t,s) arc to be a
@@ -177,8 +160,7 @@ func RoundWith(dg *graph.DiGraph, f []float64, s, t int, delta float64, useCosts
 				}
 			}
 			orient, _, err := euler.Orient(g, dirCost, euler.Options{
-				Mode: opts.EulerMode, Seed: opts.EulerSeed, Ledger: led, Trace: tr,
-				Faults: opts.Faults, Transport: opts.Transport, Budget: opts.Budget, Metrics: opts.Metrics,
+				Env: opts.Env, Ledger: led, Mode: opts.EulerMode, Seed: opts.EulerSeed,
 			})
 			if err != nil {
 				lsp.End()

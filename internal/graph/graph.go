@@ -45,8 +45,21 @@ var ErrVertexRange = errors.New("graph: vertex index out of range")
 // ErrSelfLoop reports an attempt to add a self-loop.
 var ErrSelfLoop = errors.New("graph: self-loops are not allowed")
 
-// ErrBadWeight reports a non-positive or non-finite edge weight.
-var ErrBadWeight = errors.New("graph: edge weight must be positive and finite")
+// maxWeight caps edge weights well below the float64 maximum (~1.8e308),
+// so weighted degrees and Laplacian entries stay finite.
+const maxWeight = 1e300
+
+// ErrBadWeight reports an edge weight outside (0, 1e300], NaN included.
+var ErrBadWeight = errors.New("graph: edge weight must be positive and at most 1e300")
+
+// checkWeight returns an ErrBadWeight-wrapping error unless 0 < w <=
+// maxWeight (NaN fails both comparisons).
+func checkWeight(w float64) error {
+	if w > 0 && w <= maxWeight {
+		return nil
+	}
+	return fmt.Errorf("%w: %v", ErrBadWeight, w)
+}
 
 // New returns an empty undirected graph on n vertices.
 func New(n int) *Graph {
@@ -89,8 +102,8 @@ func (g *Graph) AddEdge(u, v int, w float64) (int, error) {
 	if u == v {
 		return 0, fmt.Errorf("%w: vertex %d", ErrSelfLoop, u)
 	}
-	if !(w > 0) || w != w || w > 1e300 {
-		return 0, fmt.Errorf("%w: %v", ErrBadWeight, w)
+	if err := checkWeight(w); err != nil {
+		return 0, err
 	}
 	if u > v {
 		u, v = v, u
@@ -161,8 +174,8 @@ func (g *Graph) SetWeight(i int, w float64) error {
 	if i < 0 || i >= len(g.edges) {
 		return fmt.Errorf("graph: edge index %d out of range (m=%d)", i, len(g.edges))
 	}
-	if !(w > 0) || w != w || w > 1e300 {
-		return fmt.Errorf("%w: %v", ErrBadWeight, w)
+	if err := checkWeight(w); err != nil {
+		return err
 	}
 	g.edges[i].W = w
 	return nil
@@ -178,8 +191,8 @@ func (g *Graph) SetWeights(w []float64) error {
 		return fmt.Errorf("graph: %d weights for %d edges", len(w), len(g.edges))
 	}
 	for i, x := range w {
-		if !(x > 0) || x != x || x > 1e300 {
-			return fmt.Errorf("edge %d: %w: %v", i, ErrBadWeight, x)
+		if err := checkWeight(x); err != nil {
+			return fmt.Errorf("edge %d: %w", i, err)
 		}
 		g.edges[i].W = x
 	}

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -293,5 +295,49 @@ func TestRewireEdge(t *testing.T) {
 	// across clones.
 	if c := g.Clone(); c.Gen() != g.Gen() {
 		t.Fatalf("clone gen = %d, want %d", c.Gen(), g.Gen())
+	}
+}
+
+// TestWeightCheck: AddEdge, SetWeight and SetWeights share one weight
+// check, accepting (0, 1e300] and naming that cap when they refuse.
+func TestWeightCheck(t *testing.T) {
+	cases := []struct {
+		name string
+		w    float64
+		ok   bool
+	}{
+		{"zero", 0, false},
+		{"negative", -1, false},
+		{"nan", math.NaN(), false},
+		{"+inf", math.Inf(1), false},
+		{"above cap", 1e308, false},
+		{"at cap", 1e300, true},
+		{"tiny", 1e-300, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			edge := func() *Graph {
+				g := New(2)
+				g.MustAddEdge(0, 1, 1)
+				return g
+			}
+			_, errAdd := edge().AddEdge(0, 1, c.w)
+			errSet := edge().SetWeight(0, c.w)
+			errSets := edge().SetWeights([]float64{c.w})
+			for name, err := range map[string]error{"AddEdge": errAdd, "SetWeight": errSet, "SetWeights": errSets} {
+				if c.ok {
+					if err != nil {
+						t.Fatalf("%s(%v): unexpected error %v", name, c.w, err)
+					}
+					continue
+				}
+				if !errors.Is(err, ErrBadWeight) {
+					t.Fatalf("%s(%v) error = %v, want ErrBadWeight", name, c.w, err)
+				}
+				if !strings.Contains(err.Error(), "at most 1e300") {
+					t.Fatalf("%s(%v) error %q does not name the 1e300 cap", name, c.w, err)
+				}
+			}
+		})
 	}
 }

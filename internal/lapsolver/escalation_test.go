@@ -8,6 +8,7 @@ import (
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/trace"
 )
 
@@ -19,7 +20,7 @@ func TestSolveBudgetExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	s, err := NewSolver(g, Options{Ledger: led, Budget: rounds.NewBudget(1, 0)})
+	s, err := NewSolver(g, Options{Env: runenv.Env{Budget: rounds.NewBudget(1, 0)}, Ledger: led})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestSolveBudgetAllowsCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	sBud, err := NewSolver(g, Options{Ledger: led, Budget: rounds.NewBudget(1_000_000, 0)})
+	sBud, err := NewSolver(g, Options{Env: runenv.Env{Budget: rounds.NewBudget(1_000_000, 0)}, Ledger: led})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,8 @@ func TestSolveEscalatesToDenseFallback(t *testing.T) {
 	led := rounds.New()
 	tr := trace.New()
 	s, err := NewSolver(g, Options{
+		Env:         runenv.Env{Trace: tr},
 		Ledger:      led,
-		Trace:       tr,
 		InternalTol: 1e-2, // sloppy inner solves: iterative attempts floor out
 		MaxKappa:    16,   // small cap: reach the ladder quickly
 	})

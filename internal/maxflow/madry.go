@@ -5,16 +5,14 @@ import (
 	"math"
 	"sort"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/electrical"
 	"lapcc/internal/flowround"
 	"lapcc/internal/graph"
 	"lapcc/internal/lapsolver"
 	"lapcc/internal/linalg"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/sparsify"
-	"lapcc/internal/trace"
 )
 
 // Options configures the interior-point max-flow path (Theorem 1.2).
@@ -40,38 +38,16 @@ type Options struct {
 	// SolveEps is the per-iteration Laplacian solve precision
 	// (default 1e-10, i.e. Omega(1/poly m) as the proof requires).
 	SolveEps float64
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Faults, if non-nil, subjects every network primitive of the run —
-	// the Full-mode solver stack and the flow-rounding cascade — to the
-	// given fault plan, with delivery restored by the reliable
-	// retransmission layer. The flow is bit-identical to a fault-free run;
-	// only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every network primitive of
-	// the pipeline — the Full-mode solver stack and the flow-rounding
-	// cascade — through the given delivery backend (see cc.Transport); nil
-	// keeps the in-process path. The flow is bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, bounds the run: it is checked at every IPM
-	// iteration and propagated to the electrical session and the rounding
-	// cascade. Exhaustion aborts with an error unwrapping to
-	// rounds.ErrBudgetExceeded carrying the partial stats.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live counters for the run (IPM
-	// iterations, boostings, rounding outcomes) and a mirror of the
-	// ledger's cost stream, and is propagated to every stage of the
-	// pipeline. A nil registry records nothing and costs nothing.
-	Metrics *metrics.Registry
-	// Workers sets the worker count for the run's numerical kernels —
-	// the per-iteration electrical solves and (on the Full path) the
-	// sparsifier builds (0 = GOMAXPROCS, 1 = sequential). The IPM's
-	// augmentation and fixing solves are data-dependent and stay
-	// sequential; Workers parallelizes inside each solve. The flow is
-	// bit-identical at any worker count.
-	Workers int
+	// Env is the run environment, handed whole to every stage of the
+	// pipeline — the electrical session (and on the Full path its solver
+	// stack) and the flow-rounding cascade — except the FastSolve charge
+	// calibration, which runs Uncharged. Budget is also checked at every
+	// IPM iteration; Metrics receives IPM iterations, boostings and
+	// rounding outcomes; Workers parallelizes inside each electrical solve
+	// (the augmentation and fixing solves are data-dependent and stay
+	// sequential). The flow is bit-identical under any Faults, Transport
+	// or Workers.
+	runenv.Env
 }
 
 func (o *Options) defaults() {
@@ -284,7 +260,7 @@ func newIPMState(dg *graph.DiGraph, s, t int, fstar int64, opts Options) (*ipmSt
 	// the support (internal measurement; see DESIGN.md).
 	if opts.FastSolve {
 		support := st.supportGraph(nil)
-		sres, err := sparsify.Sparsify(support, sparsify.Options{Metrics: opts.Metrics, Workers: opts.Workers})
+		sres, err := sparsify.Sparsify(support, sparsify.Options{Env: opts.Uncharged()})
 		if err != nil {
 			return nil, fmt.Errorf("maxflow: calibrating solver charge: %w", err)
 		}
@@ -369,10 +345,9 @@ func (st *ipmState) sessionSolve(w []float64, b linalg.Vec, slot string) (linalg
 		// drift shifts the trajectory and with it the charged-round total.
 		// The session's win here is structural reuse; cold solves keep the
 		// path bit-identical to a fresh build every iteration.
-		opts := electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics, Workers: st.opts.Workers}
+		opts := electrical.SessionOptions{Env: st.opts.Env}
 		if !st.opts.FastSolve {
-			opts.Full = true
-			opts.Solver = lapsolver.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Workers: st.opts.Workers}
+			opts.Full, opts.Ledger = true, st.opts.Ledger
 		}
 		sess, err := electrical.NewSession(st.supportGraph(w), opts)
 		if err != nil {
@@ -395,7 +370,7 @@ func (st *ipmState) solveFreshBaseline(w []float64, b linalg.Vec) (linalg.Vec, e
 		lg.SetPool(linalg.SharedPool(st.opts.Workers))
 		return linalg.LaplacianCGSolver(lg, st.opts.SolveEps)(b)
 	}
-	solver, err := lapsolver.NewSolver(support, lapsolver.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Metrics: st.opts.Metrics, Workers: st.opts.Workers})
+	solver, err := lapsolver.NewSolver(support, lapsolver.Options{Env: st.opts.Env, Ledger: st.opts.Ledger})
 	if err != nil {
 		return nil, err
 	}
@@ -646,7 +621,7 @@ func (st *ipmState) roundFlow(res *Result) ([]int64, error) {
 		return nil, fmt.Errorf("maxflow: snapping IPM flow: %w", err)
 	}
 	rounded, err := flowround.RoundWith(rdg, snapped, st.s, st.t, delta, false,
-		flowround.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Budget: st.opts.Budget, Metrics: st.opts.Metrics})
+		flowround.Options{Env: st.opts.Env, Ledger: st.opts.Ledger})
 	if err != nil {
 		return nil, fmt.Errorf("maxflow: rounding IPM flow: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // TestMaxFlowBudgetExhaustion: a one-round budget must abort the IPM at an
@@ -16,9 +17,9 @@ func TestMaxFlowBudgetExhaustion(t *testing.T) {
 	dg := graph.LayeredDAG(3, 4, 2, 8, 21)
 	led := rounds.New()
 	_, err := MaxFlow(dg, 0, dg.N()-1, Options{
+		Env:       runenv.Env{Budget: rounds.NewBudget(1, 0)},
 		FastSolve: true,
 		Ledger:    led,
-		Budget:    rounds.NewBudget(1, 0),
 	})
 	if !errors.Is(err, rounds.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
@@ -43,9 +44,9 @@ func TestMaxFlowBudgetAllowsCompletion(t *testing.T) {
 	}
 	led := rounds.New()
 	got, err := MaxFlow(dg, s, tt, Options{
+		Env:       runenv.Env{Budget: rounds.NewBudget(100_000_000, 0)},
 		FastSolve: true,
 		Ledger:    led,
-		Budget:    rounds.NewBudget(100_000_000, 0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"math"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/electrical"
 	"lapcc/internal/flowround"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/shortestpath"
 	"lapcc/internal/sparsify"
-	"lapcc/internal/trace"
 )
 
 // Options configures the Theorem 1.3 pipeline.
@@ -37,37 +35,15 @@ type Options struct {
 	// DisableIPM skips Progress entirely (ablation: Repairing alone from
 	// the rounded half-integral start).
 	DisableIPM bool
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Faults, if non-nil, subjects every network primitive of the
-	// flow-rounding cascade to the given fault plan, with delivery
-	// restored by the reliable retransmission layer. The flow is
-	// bit-identical to a fault-free run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every network primitive of
-	// the flow-rounding cascade through the given delivery backend (see
-	// cc.Transport); nil keeps the in-process path. The flow is
-	// bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, bounds the run: it is checked at every IPM
-	// iteration and propagated to the electrical session and the rounding
-	// cascade. Exhaustion aborts with an error unwrapping to
-	// rounds.ErrBudgetExceeded carrying the partial stats.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live counters for the run (Progress
-	// iterations, repair augmentations, cancelled cycles) and a mirror of
-	// the ledger's cost stream, and is propagated to every stage of the
-	// pipeline. A nil registry records nothing and costs nothing.
-	Metrics *metrics.Registry
-	// Workers sets the worker count for the run's numerical kernels — the
-	// predictor/corrector electrical solves and the charge-calibration
-	// sparsifier build (0 = GOMAXPROCS, 1 = sequential). The IPM's path
-	// iterations are data-dependent and stay sequential; Workers
-	// parallelizes inside each solve. The flow is bit-identical at any
-	// worker count.
-	Workers int
+	// Env is the run environment, handed whole to the electrical session
+	// and the flow-rounding cascade — except the charge calibration, which
+	// runs Uncharged. Faults and Transport therefore act on the rounding
+	// cascade, the only stage that executes network primitives, and leave
+	// the flow bit-identical. Budget is also checked at every IPM
+	// iteration; Metrics receives Progress iterations, repair augmentations
+	// and cancelled cycles; Workers parallelizes inside each
+	// predictor/corrector solve and the calibration build.
+	runenv.Env
 }
 
 func (o *Options) defaults() {
@@ -280,7 +256,7 @@ func (st *cmsvState) preconA() []float64 {
 func (st *cmsvState) solve(w []float64, b linalg.Vec, slot string) (linalg.Vec, error) {
 	if !st.chargeOK && st.opts.Ledger != nil {
 		unit := st.supportGraph(nil, false)
-		sres, err := sparsify.Sparsify(unit, sparsify.Options{Metrics: st.opts.Metrics, Workers: st.opts.Workers})
+		sres, err := sparsify.Sparsify(unit, sparsify.Options{Env: st.opts.Uncharged()})
 		if err != nil {
 			return nil, fmt.Errorf("mcmf: calibrating solver charge: %w", err)
 		}
@@ -323,7 +299,7 @@ func (st *cmsvState) sessionSolve(w []float64, b linalg.Vec, slot string) (linal
 		support := st.supportGraph(w, true)
 		// WarmStart stays off for charged-round parity with the fresh-build
 		// path; see the maxflow sessionSolve comment.
-		sess, err := electrical.NewSession(support, electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics, Workers: st.opts.Workers})
+		sess, err := electrical.NewSession(support, electrical.SessionOptions{Env: st.opts.Env})
 		if err != nil {
 			return nil, err
 		}
@@ -606,7 +582,7 @@ func (st *cmsvState) roundToMatching(res *Result) ([]int64, error) {
 		return nil, fmt.Errorf("mcmf: snapping bipartite flow: %w", err)
 	}
 	rounded, err := flowround.RoundWith(rdg, snapped, S, T, delta, true,
-		flowround.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Budget: st.opts.Budget, Metrics: st.opts.Metrics})
+		flowround.Options{Env: st.opts.Env, Ledger: st.opts.Ledger})
 	if err != nil {
 		return nil, fmt.Errorf("mcmf: rounding bipartite flow: %w", err)
 	}

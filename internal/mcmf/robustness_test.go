@@ -7,6 +7,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func budgetTestInstance() (*graph.DiGraph, []int64) {
@@ -24,8 +25,8 @@ func TestMinCostFlowBudgetExhaustion(t *testing.T) {
 	dg, sigma := budgetTestInstance()
 	led := rounds.New()
 	_, err := MinCostFlow(dg, sigma, Options{
+		Env:    runenv.Env{Budget: rounds.NewBudget(1, 0)},
 		Ledger: led,
-		Budget: rounds.NewBudget(1, 0),
 	})
 	if !errors.Is(err, rounds.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
@@ -52,8 +53,8 @@ func TestMinCostFlowBudgetAllowsCompletion(t *testing.T) {
 	}
 	led := rounds.New()
 	got, err := MinCostFlow(dg, sigma, Options{
+		Env:    runenv.Env{Budget: rounds.NewBudget(100_000_000, 0)},
 		Ledger: led,
-		Budget: rounds.NewBudget(100_000_000, 0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -154,3 +154,48 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 }
+
+// TestWireGraphVertexBound: a 70-byte solve body declaring two billion
+// vertices is refused with a typed 400 before any per-vertex allocation,
+// and the daemon keeps serving; the flow ops' wire digraph has the same
+// bound.
+func TestWireGraphVertexBound(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct{ path, body string }{
+		{"/v1/solve", `{"graph":{"n":2000000000,"edges":[[0,1,1]]},"rhs":[[1,-1]],"eps":0.01}`},
+		{"/v1/maxflow", `{"graph":{"n":2000000000,"arcs":[[0,1,1,0]]},"source":0,"sink":1}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Error WireError `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: undecodable body: %v", c.path, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" ||
+			!strings.Contains(env.Error.Message, "n must be in [1, 65536]") {
+			t.Fatalf("%s: status %d, error %+v; want 400 bad_request naming the n bound", c.path, resp.StatusCode, env.Error)
+		}
+	}
+
+	g, err := graph.RandomRegular(16, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(solveBody(t, g)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("daemon stopped serving after the oversized requests: status %d", resp.StatusCode)
+	}
+}

@@ -330,6 +330,9 @@ func (s *Server) logAccess(rc *reqCtx, d time.Duration) {
 	s.logMu.Unlock()
 }
 
+// run is the environment of one request's solver run: the daemon's
+// transport, worker count and registry, plus the request's budget and
+// tracer. Every op, pooled or not, builds from it.
 func (s *Server) run(budget *rounds.Budget, tr *trace.Tracer) core.RunOptions {
 	return core.RunOptions{
 		Trace: tr, Transport: s.opts.Transport,
@@ -369,39 +372,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 		return
 	}
 
-	if rc.traced {
-		// A traced request bypasses the pool: a fresh cold session is the
-		// exact code path a pooled miss takes (no warm start, exact-only
-		// reuse), so the answer stays bit-identical to the untraced run
-		// while the per-request tracer observes every phase.
-		sess, err := core.NewLaplacianSession(g, core.SessionOptions{
-			Run:        s.run(budget, rc.tr),
-			ExactReuse: true,
-		})
-		if err != nil {
-			s.fail(w, rc, err)
-			return
-		}
-		s.poolHit(false)
-		resp := SolveResponse{Cached: false}
-		for _, b := range req.RHS {
-			res, err := sess.Solve(linalg.Vec(b), eps)
-			if err != nil {
-				s.fail(w, rc, err)
-				return
-			}
-			resp.X = append(resp.X, res.X)
-			resp.Iterations = append(resp.Iterations, res.Iterations)
-			resp.SparsifierEdges = res.SparsifierEdges
-		}
-		after := sess.Rounds()
-		resp.Rounds = WireRounds{Total: after.Total, Measured: after.Measured, Charged: after.Charged}
-		resp.Trace = s.finishTrace(rc)
-		writeJSON(w, http.StatusOK, resp)
-		return
+	// A traced request bypasses the pool: it builds into a throwaway entry
+	// on the exact path a pool miss takes (cold, exact-only reuse), so the
+	// answer stays bit-identical to the untraced run while the per-request
+	// tracer observes every phase. rc.tr is nil on every other request, so
+	// pooled sessions never hold a tracer.
+	e := &poolEntry{}
+	if !rc.traced {
+		e, _ = s.solve.acquire(g.Fingerprint())
 	}
-
-	e, _ := s.solve.acquire(g.Fingerprint())
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cached := e.built(g)
@@ -417,11 +396,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 		}
 	} else {
 		s.poolHit(false)
-		// Pooled sessions run cold (no warm start) with exact-only chain
-		// reuse, so every response is bit-identical to a direct one-shot
-		// facade call — see the package comment.
+		// Sessions run cold (no warm start) with exact-only chain reuse, so
+		// every response is bit-identical to a direct one-shot facade call
+		// — see the package comment.
 		sess, err := core.NewLaplacianSession(g, core.SessionOptions{
-			Run:        s.run(budget, nil),
+			Run:        s.run(budget, rc.tr),
 			ExactReuse: true,
 		})
 		if err != nil {
@@ -450,6 +429,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 		Measured: after.Measured - before.Measured,
 		Charged:  after.Charged - before.Charged,
 	}
+	resp.Trace = s.finishTrace(rc)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -470,43 +450,12 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request, rc *reqC
 		return
 	}
 
-	if rc.traced {
-		// As with solve: a fresh exact-only chain is exactly the pooled
-		// miss path, so tracing never perturbs the response bytes.
-		led := rounds.New()
-		snap := rounds.Snap(led)
-		chain, err := sparsify.NewChain(g.Clone(), sparsify.ChainOptions{
-			ExactOnly: true,
-			Sparsify: sparsify.Options{
-				Ledger: led, Budget: budget,
-				Workers: s.opts.Workers, Metrics: s.reg, Trace: rc.tr,
-			},
-		})
-		if err != nil {
-			s.fail(w, rc, err)
-			return
-		}
-		s.poolHit(false)
-		alpha := 0.0
-		if g.IsConnected() {
-			alpha, err = sparsify.MeasureAlpha(g, chain.H(), 150)
-			if err != nil {
-				s.fail(w, rc, err)
-				return
-			}
-		}
-		d := snap.Stats()
-		writeJSON(w, http.StatusOK, SparsifyResponse{
-			H:      ToWireGraph(chain.H()),
-			Alpha:  alpha,
-			Cached: false,
-			Rounds: WireRounds{Total: d.TotalRounds(), Measured: d.MeasuredRounds, Charged: d.ChargedRounds},
-			Trace:  s.finishTrace(rc),
-		})
-		return
+	// As with solve: a traced request builds a throwaway entry on the pool
+	// miss path, so tracing never perturbs the response bytes.
+	e := &poolEntry{}
+	if !rc.traced {
+		e, _ = s.sparse.acquire(g.Fingerprint())
 	}
-
-	e, _ := s.sparse.acquire(g.Fingerprint())
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cached := e.built(g)
@@ -526,10 +475,7 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request, rc *reqC
 		snap = rounds.Snap(led)
 		chain, err := sparsify.NewChain(g.Clone(), sparsify.ChainOptions{
 			ExactOnly: true,
-			Sparsify: sparsify.Options{
-				Ledger: led, Budget: budget,
-				Workers: s.opts.Workers, Metrics: s.reg,
-			},
+			Sparsify:  sparsify.Options{Env: s.run(budget, rc.tr), Ledger: led},
 		})
 		if err != nil {
 			s.fail(w, rc, err)
@@ -554,6 +500,7 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request, rc *reqC
 		Alpha:  alpha,
 		Cached: cached,
 		Rounds: WireRounds{Total: d.TotalRounds(), Measured: d.MeasuredRounds, Charged: d.ChargedRounds},
+		Trace:  s.finishTrace(rc),
 	})
 }
 

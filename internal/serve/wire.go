@@ -34,6 +34,14 @@ import (
 	"lapcc/internal/rounds"
 )
 
+// MaxWireN bounds the vertex count of a wire graph. WireGraph.Graph and
+// WireDiGraph.DiGraph reject a larger n before allocating anything, so a
+// tiny request body cannot make the daemon allocate per-vertex state for
+// billions of vertices — a runtime out-of-memory fatal that no per-request
+// recovery can catch. It sits far above what the simulated clique serves in
+// practice: tests and benchmarks send n of at most a few thousand.
+const MaxWireN = 1 << 16
+
 // WireGraph is the JSON form of an undirected weighted graph: edge i is
 // [u, v, w] and edge ids are positions in the list, matching
 // graph.Graph edge ids (and therefore the weight vector of a reweight).
@@ -202,8 +210,8 @@ func (wg *WireGraph) Graph() (*graph.Graph, error) {
 	if wg == nil {
 		return nil, fmt.Errorf("missing graph")
 	}
-	if wg.N <= 0 {
-		return nil, fmt.Errorf("graph: n must be positive, got %d", wg.N)
+	if wg.N <= 0 || wg.N > MaxWireN {
+		return nil, fmt.Errorf("graph: n must be in [1, %d], got %d", MaxWireN, wg.N)
 	}
 	g := graph.New(wg.N)
 	for i, e := range wg.Edges {
@@ -232,8 +240,8 @@ func (wd *WireDiGraph) DiGraph() (*graph.DiGraph, error) {
 	if wd == nil {
 		return nil, fmt.Errorf("missing graph")
 	}
-	if wd.N <= 0 {
-		return nil, fmt.Errorf("graph: n must be positive, got %d", wd.N)
+	if wd.N <= 0 || wd.N > MaxWireN {
+		return nil, fmt.Errorf("graph: n must be in [1, %d], got %d", MaxWireN, wd.N)
 	}
 	dg := graph.NewDi(wd.N)
 	for i, a := range wd.Arcs {

@@ -7,9 +7,8 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // Randomized sparsification — the paper's closing remark: "replacing the
@@ -32,15 +31,14 @@ type RandomOptions struct {
 	SketchDim int
 	// Seed drives sampling; runs are reproducible per seed.
 	Seed int64
+	// Env is the run environment. Only Trace and Metrics are read: the
+	// randomized construction charges its polylog rounds instead of
+	// executing network primitives, so Faults, Transport and Budget do not
+	// apply, and its JL sketch solves run sequentially whatever Workers
+	// says.
+	runenv.Env
 	// Ledger, if non-nil, receives the round costs.
 	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Metrics, if non-nil, receives live phase counters and a mirror of the
-	// ledger's cost stream.
-	Metrics *metrics.Registry
 }
 
 // CiteFV22 is the citation string for randomized-sparsifier round charges.

@@ -36,13 +36,11 @@ import (
 	"math"
 	"sort"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/expander"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // Options configures Sparsify.
@@ -61,37 +59,19 @@ type Options struct {
 	// 2*log2(m)+6); remaining edges are then copied verbatim, which is
 	// always spectrally safe.
 	MaxLevels int
+	// Env is the run environment. Budget is checked at every decomposition
+	// level; Faults sends the per-level broadcast through the reliable
+	// retransmission layer (cc.ReliableBroadcastAll) and Transport carries
+	// it, both leaving the sparsifier bit-identical; Workers parallelizes
+	// the per-part product-demand builds within a level. Levels stay
+	// sequential — each level's input is the previous level's crossing
+	// edges — but the certified parts of one level are independent and
+	// merged into H in part order, so H is bit-identical at any worker
+	// count. Metrics receives builds, levels, parts and chain reuse
+	// decisions.
+	runenv.Env
 	// Ledger, if non-nil, receives the round costs.
 	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Faults, if non-nil, injects the given fault plan into every network
-	// primitive this package executes (broadcasts run through the reliable
-	// retransmission layer, cc.ReliableBroadcastAll). Results are
-	// bit-identical to a fault-free run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries the per-level broadcast
-	// through the given delivery backend (see cc.Transport); nil keeps the
-	// in-process path. The sparsifier is bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, is checked at every decomposition level;
-	// exhaustion aborts with an error unwrapping to
-	// rounds.ErrBudgetExceeded.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live phase counters (builds, levels,
-	// parts, chain reuse decisions) and a mirror of the ledger's cost
-	// stream; a nil registry records nothing and costs nothing.
-	Metrics *metrics.Registry
-	// Workers sets the worker count for the per-part product-demand builds
-	// within each decomposition level (0 = GOMAXPROCS, 1 = sequential).
-	// Levels stay sequential — each level's input is the previous level's
-	// crossing edges — but the certified parts of one level are independent,
-	// and their pieces are merged into H in part order, so the sparsifier is
-	// bit-identical at any worker count. Round accounting is untouched:
-	// parallelism is internal computation, which is free in the model.
-	Workers int
 }
 
 func (o *Options) defaults(m int) {
@@ -229,11 +209,7 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 		// degree, making the product demand graphs globally known. Under a
 		// fault plan the reliable layer retransmits until the values are
 		// identical to the clean broadcast.
-		if opts.Faults != nil {
-			if _, _, err := cc.ReliableBroadcastAllVia(opts.Transport, g.N(), make([]int64, g.N()), opts.Ledger, "sparsify-bcast", opts.Faults); err != nil {
-				return levelOutcome{err: err}
-			}
-		} else if _, err := cc.BroadcastAllVia(opts.Transport, g.N(), make([]int64, g.N()), opts.Ledger, "sparsify-bcast"); err != nil {
+		if _, err := opts.Env.BroadcastAll(g.N(), make([]int64, g.N()), opts.Ledger, "sparsify-bcast"); err != nil {
 			return levelOutcome{err: err}
 		}
 	}

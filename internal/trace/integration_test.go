@@ -11,6 +11,7 @@ import (
 	"lapcc/internal/graph"
 	"lapcc/internal/lapsolver"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/trace"
 )
 
@@ -24,7 +25,7 @@ func tracedSolve(t *testing.T) []byte {
 	}
 	tr := trace.New()
 	led := rounds.New()
-	s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Trace: tr})
+	s, err := lapsolver.NewSolver(g, lapsolver.Options{Env: runenv.Env{Trace: tr}, Ledger: led})
 	if err != nil {
 		t.Fatal(err)
 	}

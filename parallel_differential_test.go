@@ -18,6 +18,7 @@ import (
 	"lapcc/internal/core"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
+	"lapcc/internal/runenv"
 	"lapcc/internal/sparsify"
 )
 
@@ -150,7 +151,7 @@ func TestParallelDifferentialSolver(t *testing.T) {
 func TestParallelDifferentialSparsify(t *testing.T) {
 	g := mustGraph(t, 64, 400, 34)
 	build := func(workers int) *sparsify.Result {
-		res, err := sparsify.Sparsify(g.Clone(), sparsify.Options{Workers: workers})
+		res, err := sparsify.Sparsify(g.Clone(), sparsify.Options{Env: runenv.Env{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
