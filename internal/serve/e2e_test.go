@@ -245,6 +245,57 @@ func TestBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestBudgetStaysWithItsRequest pins that a request's budget meters only
+// that request. The first solve warms the pool under a rounds budget it just
+// fits; a later budget-free solve on the same topology, reweighted into a
+// different weight-class partition so the pooled sparsifier chain rebuilds,
+// must not be charged against the first request's exhausted budget.
+func TestBudgetStaysWithItsRequest(t *testing.T) {
+	g := testGraph(t, 0)
+	fresh, err := core.NewLaplacianSession(g, core.SessionOptions{ExactReuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Solve(linalg.Vec(rhs(g.N(), 0)), 1e-8); err != nil {
+		t.Fatal(err)
+	}
+	need := fresh.Rounds().Total
+
+	_, ts := startDaemon(t, serve.Options{})
+	wg := serve.ToWireGraph(g)
+	var got serve.SolveResponse
+	if code, werr := postJSON(t, ts.URL+"/v1/solve", serve.SolveRequest{
+		Graph: &wg, RHS: [][]float64{rhs(g.N(), 0)},
+		Budget: &serve.WireBudget{Rounds: need + 1},
+	}, &got); code != http.StatusOK {
+		t.Fatalf("budgeted solve: status %d: %+v", code, werr)
+	}
+
+	// Scaling the weights by 4, then by 16, moves every edge to a new
+	// weight class each time, so each of these solves rebuilds the pooled
+	// chain; by the second, the session's rounds are well past the first
+	// request's budget.
+	for _, scale := range []float64{4, 16} {
+		gs := g.Clone()
+		w := gs.Weights()
+		for i := range w {
+			w[i] *= scale
+		}
+		if err := gs.SetWeights(w); err != nil {
+			t.Fatal(err)
+		}
+		wgs := serve.ToWireGraph(gs)
+		if code, werr := postJSON(t, ts.URL+"/v1/solve", serve.SolveRequest{
+			Graph: &wgs, RHS: [][]float64{rhs(g.N(), 0)},
+		}, &got); code != http.StatusOK {
+			t.Fatalf("budget-free solve at weight scale %g: status %d: %+v", scale, code, werr)
+		}
+		if !got.Cached {
+			t.Fatalf("weight scale %g missed the pool; the test no longer exercises a pooled rebuild", scale)
+		}
+	}
+}
+
 // TestBatchedRHS pins the batched-lane contract: a k-RHS request returns k
 // potential vectors, each bit-identical to its single-RHS counterpart, and
 // one round total for the lane.
